@@ -3,10 +3,10 @@
 Runs one homogeneous fleet (adaptive policy over the ycsb+terasort
 collocation, one seed per device) three ways —
 
-* ``process-per-cell`` — the pre-fleet baseline: one forked worker per
-  device, telemetry pickled back over the result pipe;
-* ``fleet/arena-off``  — sharded over the persistent pool with shared
-  telemetry rings, but per-worker snapshot restores;
+* ``baseline``         — one pool task per device: each device is a
+  sweep cell on the persistent pool, no sharding and no arena;
+* ``fleet/arena-off``  — devices sharded over the persistent pool, with
+  per-worker snapshot restores;
 * ``fleet/arena-on``   — same, plus the zero-copy shared-memory warm
   -state arena (``REPRO_ARENA=shm`` equivalent).
 
@@ -16,7 +16,7 @@ with devices/sec for each mode plus the arena's state-plane counters
 (``arena.attach``, ``arena.hits``, ``ipc.bytes_saved``).
 
 Gates follow the established idiom: byte equality and the leak scan are
-unconditional; the >= 1.5x devices/sec gate over the process-per-cell
+unconditional; the >= 1.5x devices/sec gate over the one-task-per-device
 baseline needs >= 4 cores *and* the full 32-device fleet, and records
 ``skipped(<reason>)`` in the JSON otherwise (small hosts still measure
 the arena A/B, which does not depend on parallel hardware).
@@ -32,7 +32,6 @@ import pytest
 
 from benchmarks.common import print_expectation, print_gate, print_header
 from repro.fleet import FleetShardRunner, build_fleet, leaked_segments, run_fleet_serial
-from repro.fleet.runner import _experiment_cell
 from repro.parallel import ParallelRunner
 
 CORES = os.cpu_count() or 1
@@ -47,7 +46,7 @@ BASE_SEED = 42
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 #: Required devices/sec improvement of the arena-backed fleet over the
-#: process-per-cell baseline (at N >= 32 devices on >= 4 cores).
+#: one-pool-task-per-device baseline (at N >= 32 devices on >= 4 cores).
 MIN_FLEET_SPEEDUP = 1.5
 
 SPECS = build_fleet(
@@ -62,7 +61,7 @@ SPECS = build_fleet(
 
 @pytest.fixture(scope="module")
 def runs():
-    cells = [_experiment_cell(spec) for spec in SPECS]
+    cells = [spec.experiment_cell() for spec in SPECS]
     shards = max(min(CORES - 1, DEVICES), 1)
     baseline_runner = ParallelRunner(workers=shards)
     baseline = baseline_runner.run(cells)
@@ -72,16 +71,16 @@ def runs():
 
 
 def test_fleet_byte_identical_and_leak_free(benchmark, runs):
-    """Sharded fleet telemetry == the process-per-cell device loop, byte
-    for byte, arena on or off — and nothing left behind in /dev/shm."""
+    """Sharded fleet telemetry == one pool task per device, byte for
+    byte, arena on or off — and nothing left behind in /dev/shm."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     baseline, fleet_off, fleet_on = runs
     assert baseline.ok, [f.describe() for f in baseline.failures]
     assert fleet_off.ok, fleet_off.errors
     assert fleet_on.ok, fleet_on.errors
     assert len(baseline.telemetry) > 0
-    # Process-per-cell merges in matrix order == device-index order, so
-    # its telemetry IS the serial device loop's bytes.
+    # The baseline sweep merges in matrix order == device-index order,
+    # so its telemetry IS the serial device loop's bytes.
     assert fleet_off.telemetry == baseline.telemetry
     assert fleet_on.telemetry == baseline.telemetry
     assert leaked_segments() == []
@@ -120,7 +119,7 @@ def test_fleet_throughput_and_bench_json(benchmark, runs):
             f"{DEVICES} devices x adaptive, {fleet_on.shards} shards, "
             f"{CORES} cores",
         )
-        print(f"  process-per-cell: {baseline.wall_s:6.1f}s  "
+        print(f"  task per device:  {baseline.wall_s:6.1f}s  "
               f"{baseline_dps:6.2f} devices/s  ({baseline.mode})")
         print(f"  fleet/arena-off:  {fleet_off.wall_s:6.1f}s  "
               f"{fleet_off.devices_per_sec:6.2f} devices/s  ({fleet_off.mode})")
@@ -172,7 +171,7 @@ def test_fleet_throughput_and_bench_json(benchmark, runs):
     payload = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     print_expectation(
         f"arena-backed fleet >= {MIN_FLEET_SPEEDUP}x devices/sec over "
-        f"process-per-cell (>= 4 cores, {FULL_DEVICES} devices)",
+        f"one pool task per device (>= 4 cores, {FULL_DEVICES} devices)",
         f"{payload['speedup_vs_process_per_cell']:.2f}x at "
         f"{payload['devices']} devices on {payload['cpu_count']} cores",
     )

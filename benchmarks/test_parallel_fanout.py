@@ -4,7 +4,8 @@ Runs one experiment matrix (2 policies x 2 seeds over the ycsb+terasort
 collocation) four ways —
 
 * ``serial/cold``   — in-process, snapshots off (every cell pays build+warm)
-* ``parallel/cold`` — 4 fork-per-cell workers, snapshots off
+* ``parallel/cold`` — pool, snapshots off (4 workers; every cell pays
+  build+warm)
 * ``serial/warm``   — in-process, snapshots on (first cell per key warms,
   the rest restore; this pass also primes the parent's snapshot cache)
 * ``pool/warm``     — persistent worker pool, snapshots on (forked workers
@@ -56,7 +57,7 @@ WORKERS = 4
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 #: Required wall-clock improvement of the amortized sweep (snapshot reuse
-#: + persistent pool) over the cold process-per-cell sweep.
+#: on the persistent pool) over the cold pool sweep.
 MIN_AMORTIZED_SPEEDUP = 1.5
 
 
@@ -101,8 +102,7 @@ def sweeps():
         # and primes this process's snapshot cache ...
         serial_warm = run_serial(cells)
         # ... which the pool's forked workers inherit: no cell re-warms.
-        pool_runner = ParallelRunner(workers=WORKERS, pool=True)
-        pool_warm = pool_runner.run(cells)
+        pool_warm = ParallelRunner(workers=WORKERS).run(cells)
     finally:
         snapshots.clear_memory_cache()
         if prior is None:
@@ -113,8 +113,8 @@ def sweeps():
 
 
 def test_all_modes_byte_identical(benchmark, sweeps):
-    """Serial vs parallel, snapshots off vs on, fork-per-cell vs pool:
-    the merged telemetry must not change by a single byte."""
+    """Serial vs pool, snapshots off vs on: the merged telemetry must
+    not change by a single byte."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     serial_cold, parallel_cold, serial_warm, pool_warm = sweeps
     for sweep in sweeps:
@@ -174,7 +174,7 @@ def test_parallel_speedup_and_bench_json(benchmark, sweeps):
         print(f"  pool/warm:     {pool_warm.wall_s:6.1f}s  ({pool_warm.mode})")
         print(f"  speedup:       {speedup:6.2f}x  (cold fan-out vs serial)")
         print(f"  amortized:     {amortized_speedup:6.2f}x  "
-              "(pool+snapshots vs cold fan-out)")
+              "(pool+snapshots vs cold pool)")
         print()
         print(format_profile(parallel_cold.profile, total_label="sim.event_loop"))
         payload = {
@@ -222,7 +222,7 @@ def test_parallel_speedup_and_bench_json(benchmark, sweeps):
     payload = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     print_expectation(
         "4-worker sweep >= 2x faster than serial (on >= 4 cores); "
-        f"pool+snapshots >= {MIN_AMORTIZED_SPEEDUP}x over cold fan-out",
+        f"pool+snapshots >= {MIN_AMORTIZED_SPEEDUP}x over the cold pool",
         f"{payload['speedup']:.2f}x cold, "
         f"{payload['snapshots']['amortized_speedup']:.2f}x amortized "
         f"on {payload['cpu_count']} cores"

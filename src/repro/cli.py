@@ -318,8 +318,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.detsan:
         # Set before any worker forks so every child records checkpoints.
         os.environ["REPRO_DETSAN"] = "1"
-    # Like --detsan: exported before any worker starts so forked and
-    # pooled workers alike resolve the same snapshot mode.
+    # Like --detsan: exported before any worker starts so every pool
+    # worker resolves the same snapshot mode.
     os.environ["REPRO_SNAPSHOTS"] = "mem" if args.snapshots == "on" else "off"
     cells = matrix.cells()
     warmed = warm_policy_cache(cells)
@@ -329,12 +329,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
-        pool=args.pool,
     )
     print(
         f"sweep: {len(cells)} cells "
         f"({len(policies)} policies x {len(seeds)} seeds), "
-        f"{runner.workers} workers [{'pool/' if args.pool else ''}{runner.start_method}], "
+        f"{runner.workers} workers [pool/{runner.start_method}], "
         f"snapshots {args.snapshots}"
     )
     sweep = runner.run(cells)
@@ -744,12 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshots", default="on", choices=("on", "off"),
         help="reuse warm-state snapshots to skip device build+warm on "
              "repeat cells (off = always cold build, the escape hatch)",
-    )
-    sweep.add_argument(
-        "--pool", action="store_true",
-        help="persistent worker pool: long-lived workers drain the cell "
-             "queue and reuse their warm-state snapshot caches, instead "
-             "of one process per cell",
     )
     sweep.set_defaults(func=cmd_sweep)
 

@@ -460,7 +460,7 @@ def _pretrain_best_parallel(
     # runs several seeds, paying process startup and the training-stack
     # import once instead of per seed.  Selection stays seed-ordered, so
     # the winner is unchanged.
-    sweep = ParallelRunner(workers=workers, pool=True).run(cells)
+    sweep = ParallelRunner(workers=workers).run(cells)
     best: Optional[PretrainResult] = None
     for outcome in sweep.outcomes:
         if isinstance(outcome, CellFailure):

@@ -46,9 +46,9 @@ from repro.profiling import PROFILER
 
 _MAGIC = b"RARENA01"
 _ALIGN = 64
-#: Name prefixes of every segment this package creates (the leak check
-#: in tests and CI scans /dev/shm for these).
-SEGMENT_PREFIXES = ("repro_arena_", "repro_ring_")
+#: Name prefix of every segment this package creates (the leak check
+#: in tests and CI scans /dev/shm for it).
+SEGMENT_PREFIX = "repro_"
 
 _SERIAL = itertools.count()
 
@@ -127,7 +127,7 @@ def leaked_segments(shm_dir: str = "/dev/shm") -> list:
     return sorted(
         entry.name
         for entry in root.iterdir()
-        if entry.name.startswith(SEGMENT_PREFIXES)
+        if entry.name.startswith(SEGMENT_PREFIX)
     )
 
 

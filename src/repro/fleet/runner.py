@@ -3,16 +3,16 @@
 :class:`FleetShardRunner` is the fleet counterpart of
 :class:`repro.parallel.runner.ParallelRunner`: it slices N device specs
 round-robin into K :class:`~repro.fleet.spec.FleetShardCell` work units,
-publishes the warm-state arena (when ``REPRO_ARENA=shm``), creates one
-telemetry ring per shard, runs the shards on the persistent worker pool,
-and merges per-device telemetry back **in device-index order** — the
-merged bytes are identical to :func:`run_fleet_serial` over the same
-specs, which is itself just the process-per-cell serial loop.
+publishes the warm-state arena (when ``REPRO_ARENA=shm``), runs the
+shards on the persistent worker pool, and merges the per-device
+telemetry each shard returns over the result pipe **in device-index
+order** — the merged bytes are identical to :func:`run_fleet_serial`
+over the same specs, a serial loop of single-device sweep cells.
 
-Segment lifecycle is entirely parent-owned: rings and the arena are
-created before the fan-out and unlinked in a ``finally`` (with an
-``atexit`` backstop inside :class:`~repro.fleet.arena.SharedArena`), so
-worker crashes and watchdog kills cannot leak ``/dev/shm`` entries.
+The arena segment is parent-owned: created before the fan-out and
+unlinked in a ``finally`` (with an ``atexit`` backstop inside
+:class:`~repro.fleet.arena.SharedArena`), so worker crashes and watchdog
+kills cannot leak ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SSDConfig
 from repro.fleet.arena import SharedArena, arena_mode
-from repro.fleet.ring import DEFAULT_CAPACITY, KIND_RESULTS, KIND_WINDOW_ROWS, TelemetryRing
 from repro.fleet.spec import DeviceSpec, FleetShardCell
 from repro.harness import snapshots
 from repro.harness.experiment import Experiment
-from repro.harness.telemetry import window_header_bytes
-from repro.parallel.matrix import ExperimentCell
 from repro.parallel.policy_cache import warm_policy_cache
 from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial
 from repro.profiling import merge_profiles, namespace_profile
@@ -57,19 +54,6 @@ def build_fleet(
         )
         for i in range(devices)
     ]
-
-
-def _experiment_cell(spec: DeviceSpec) -> ExperimentCell:
-    """The process-per-cell equivalent of one device spec."""
-    return ExperimentCell(
-        scenario="+".join(spec.workloads),
-        workloads=spec.workloads,
-        policy=spec.policy,
-        seed=spec.seed,
-        duration_s=spec.duration_s,
-        measure_after_s=spec.measure_after_s,
-        num_channels=spec.num_channels,
-    )
 
 
 @dataclass
@@ -119,14 +103,13 @@ def run_fleet_serial(
 ) -> FleetResult:
     """The reference output: a serial loop of per-device experiments.
 
-    Byte-for-byte, each device contributes exactly what a
-    process-per-cell sweep's worker would have shipped over the pipe
-    (results CSV + window CSV) — this is the baseline the sharded
-    runner's merged telemetry must equal.
+    Byte-for-byte, each device contributes exactly what a sweep cell
+    ships over the result pipe (results CSV + window CSV) — this is the
+    baseline the sharded runner's merged telemetry must equal.
     """
     started = time.perf_counter()
     specs = list(specs)
-    sweep = run_serial([_experiment_cell(spec) for spec in specs], profile=profile)
+    sweep = run_serial([spec.experiment_cell() for spec in specs], profile=profile)
     device_telemetry: Dict[int, bytes] = {}
     errors: List[str] = []
     for spec, outcome in zip(specs, sweep.outcomes):
@@ -156,7 +139,6 @@ class FleetShardRunner:
         shards: Optional[int] = None,
         workers: Optional[int] = None,
         arena: Optional[bool] = None,
-        ring_capacity: int = DEFAULT_CAPACITY,
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
         profile: bool = True,
@@ -167,7 +149,6 @@ class FleetShardRunner:
         self.workers = workers
         #: None: honour ``REPRO_ARENA``; True/False: explicit override.
         self.arena = arena
-        self.ring_capacity = ring_capacity
         self.join_timeout_s = join_timeout_s
         self.max_attempts = max_attempts
         self.profile = profile
@@ -188,7 +169,9 @@ class FleetShardRunner:
             if spec.num_channels is not None
             else SSDConfig()
         )
-        probe = Experiment(spec.plans(), spec.policy, ssd_config=config, seed=spec.seed)
+        probe = Experiment(
+            spec.experiment_cell().plans(), spec.policy, ssd_config=config, seed=spec.seed
+        )
         probe.build()
         snap = snapshots.capture_experiment(probe)
         if snap is None:
@@ -210,7 +193,6 @@ class FleetShardRunner:
         arena_on = self.arena if self.arena is not None else arena_mode() == "shm"
         arena_obj: Optional[SharedArena] = None
         arena_stats: dict = {"mode": "shm" if arena_on else "off", "published": False}
-        rings: List[TelemetryRing] = []
         try:
             if arena_on:
                 arena_obj = self._publish_arena(specs[0])
@@ -221,50 +203,44 @@ class FleetShardRunner:
                         payload_nbytes=arena_obj.manifest.payload_nbytes,
                         segment=arena_obj.manifest.name,
                     )
-            rings = [
-                TelemetryRing.create(self.ring_capacity) for _ in range(shard_count)
-            ]
             cells = [
                 FleetShardCell(
                     shard_index=k,
                     devices=tuple(specs[k::shard_count]),
-                    ring_name=rings[k].name,
                     arena=arena_obj.manifest if arena_obj is not None else None,
                 )
                 for k in range(shard_count)
             ]
             # FleetIO policies need the pre-trained net + classifier; warm
             # once in the parent so fork children inherit the memo caches.
-            warm_policy_cache([_experiment_cell(spec) for spec in specs])
+            warm_policy_cache([spec.experiment_cell() for spec in specs])
             runner = ParallelRunner(
                 workers=self.workers or shard_count,
                 profile=self.profile,
                 join_timeout_s=self.join_timeout_s,
                 max_attempts=self.max_attempts,
-                pool=True,
             )
             sweep = runner.run(cells)
-            device_telemetry, errors, ring_bytes, attached = self._merge(
-                cells, sweep.outcomes, rings
-            )
         finally:
-            for ring in rings:
-                ring.close()
             if arena_obj is not None:
                 arena_obj.unlink()
+        device_telemetry: Dict[int, bytes] = {}
+        errors: List[str] = []
+        attached = 0
+        for outcome in sweep.outcomes:
+            if not (isinstance(outcome, CellOutcome) and outcome.ok):
+                errors.append(outcome.describe())
+                continue
+            payload = outcome.result
+            assert isinstance(payload, dict)
+            attached += bool(payload["arena_attached"])
+            device_telemetry.update(payload["telemetry"])
         arena_stats["attached_shards"] = attached
         profile = merge_profiles(
             namespace_profile(outcome.profile, f"fleet.shard{k}.")
             for k, outcome in enumerate(sweep.outcomes)
             if isinstance(outcome, CellOutcome) and outcome.ok
         )
-        if ring_bytes:
-            counters = profile.setdefault("counters", {})
-            # Telemetry recovered from rings never crossed the result
-            # pipe: credit it next to the arena's per-restore savings.
-            counters["ipc.bytes_saved"] = (
-                counters.get("ipc.bytes_saved", 0) + ring_bytes
-            )
         return FleetResult(
             specs=specs,
             shards=shard_count,
@@ -277,55 +253,3 @@ class FleetShardRunner:
             arena=arena_stats,
             errors=errors,
         )
-
-    # -- merge -----------------------------------------------------------
-    def _merge(self, cells, outcomes, rings):
-        """Reassemble per-device telemetry from rings + pipe fallbacks."""
-        device_telemetry: Dict[int, bytes] = {}
-        errors: List[str] = []
-        ring_bytes = 0
-        attached = 0
-        for k, outcome in enumerate(outcomes):
-            cell = cells[k]
-            if not (isinstance(outcome, CellOutcome) and outcome.ok):
-                errors.append(outcome.describe())
-                continue
-            payload = outcome.result or {}
-            if payload.get("arena_attached"):
-                attached += 1
-            overflow_from = payload.get("overflow_from")
-            fallback = payload.get("fallback") or {}
-            by_device: Dict[int, dict] = {}
-            for kind, dev, slot, data in rings[k].drain():
-                if overflow_from is not None and dev >= overflow_from:
-                    # Partial records from the device that hit overflow
-                    # (and any later ones); their complete bytes arrive
-                    # via the pipe fallback instead.
-                    continue
-                entry = by_device.setdefault(dev, {"results": b"", "slots": {}})
-                if kind == KIND_RESULTS:
-                    entry["results"] = data
-                elif kind == KIND_WINDOW_ROWS:
-                    entry["slots"].setdefault(slot, []).append(data)
-            for spec in cell.devices:
-                if spec.index in fallback:
-                    device_telemetry[spec.index] = fallback[spec.index]
-                    continue
-                entry = by_device.get(spec.index)
-                if entry is None or not entry["results"]:
-                    errors.append(
-                        f"{cell.cell_id}: device {spec.index} missing from "
-                        "ring and pipe fallback"
-                    )
-                    continue
-                slots = entry["slots"]
-                data = (
-                    entry["results"]
-                    + window_header_bytes()
-                    + b"".join(
-                        b"".join(slots[slot]) for slot in sorted(slots)
-                    )
-                )
-                device_telemetry[spec.index] = data
-                ring_bytes += len(data)
-        return device_telemetry, errors, ring_bytes, attached

@@ -1,152 +1,56 @@
 """Worker-side shard executor.
 
 Runs one :class:`~repro.fleet.spec.FleetShardCell` — a device-ordered
-slice of the fleet — inside a pool worker.  Each device is a full
-harness :class:`~repro.harness.experiment.Experiment`; the shard streams
-its telemetry into the shard's shared ring once per decision window (and
-once more for the final results CSV), so the returned
-:class:`~repro.parallel.worker.CellOutcome` carries no telemetry bytes
-at all.
+slice of the fleet — inside a pool worker.  Each device runs through
+:func:`repro.parallel.worker._run_experiment_cell`, the same function
+:func:`~repro.fleet.runner.run_fleet_serial` runs, so a device's
+telemetry bytes come from one code path however the fleet is executed.
+The shard returns them in its outcome's ``result`` dict over the result
+pipe, and the parent merges them in device order.
 
-Degradation ladder, strictly in order of preference:
+Degradation ladder, in order of preference:
 
-1. ring + arena — zero-copy restore, telemetry via shared memory;
-2. ring only — arena attach failed, devices restore via the regular
-   snapshot cache (or cold build+warm);
-3. pipe fallback — the ring filled up (or was never given): every
-   affected device's full telemetry bytes ship inside ``result``.
-
-The fallback is *per device from the overflow point on*: devices fully
-flushed before the ring filled stay in the ring, and the parent stitches
-ring + fallback back together in device order.
+1. arena restore — zero-copy views of the shared warm-state segment;
+2. the regular snapshot cache, or a cold build+warm — the arena was
+   not published or its attach failed.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.config import SSDConfig
 from repro.fleet.arena import install_manifest
-from repro.fleet.ring import KIND_RESULTS, KIND_WINDOW_ROWS, TelemetryRing
-from repro.fleet.spec import DeviceSpec, FleetShardCell
-from repro.harness.experiment import Experiment
-from repro.harness.report import results_csv_bytes
-from repro.harness.telemetry import window_rows_bytes, windows_csv_bytes
-from repro.parallel.worker import CellOutcome
+from repro.fleet.spec import FleetShardCell
+from repro.parallel.worker import CellOutcome, _run_experiment_cell
 from repro.profiling import PROFILER
 
 
-def _device_experiment(spec: DeviceSpec) -> Experiment:
-    """Build the (unrun) experiment for one device spec."""
-    config = (
-        SSDConfig(num_channels=spec.num_channels)
-        if spec.num_channels is not None
-        else SSDConfig()
-    )
-    return Experiment(spec.plans(), spec.policy, ssd_config=config, seed=spec.seed)
-
-
 def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
-    """Run every device of the shard; telemetry goes to the ring.
+    """Run every device of the shard, in device order.
 
-    The outcome's ``result`` is a plain dict (cheap to pickle):
-    ``overflow_from`` (first fleet device index whose telemetry did NOT
-    fully fit in the ring, or None), ``fallback`` (device index →
-    complete telemetry bytes for those devices), ``device_wall_s``
-    (device index → seconds), and attach diagnostics.
+    The outcome's ``result`` is a plain dict: ``telemetry`` (device
+    index → that device's telemetry bytes), ``device_wall_s`` (device
+    index → seconds), and the arena attach diagnostic.
     """
-    ring: Optional[TelemetryRing] = None
-    if cell.ring_name is not None:
-        ring = TelemetryRing.attach(cell.ring_name)
-        if ring is not None:
-            # A retried shard attempt must not append after a dead
-            # attempt's records.  The pool reaps the previous worker
-            # before re-dispatching, so the producer is still unique.
-            ring.reset()
     arena_attached = False
     if cell.arena is not None:
         arena_attached = install_manifest(cell.arena)
-
-    overflow_from: Optional[int] = None
-    fallback: Dict[int, bytes] = {}
+    telemetry: Dict[int, bytes] = {}
     device_wall_s: Dict[int, float] = {}
-    ring_bytes = 0
-
-    def push(kind: int, device_index: int, slot: int, payload: bytes) -> bool:
-        """Append to the ring, latching overflow on the first failure."""
-        nonlocal overflow_from, ring_bytes
-        if ring is None or overflow_from is not None:
-            return False
-        if not ring.append(kind, device_index, slot, payload):
-            overflow_from = device_index
-            return False
-        ring_bytes += len(payload)
-        return True
-
     for spec in cell.devices:
         started = time.perf_counter()
-        experiment = _device_experiment(spec)
-        use_ring = ring is not None and overflow_from is None
-        emitted: Dict[int, int] = {}
-
-        def flush(window: int) -> None:
-            """Ship window rows completed since the previous flush."""
-            for slot, (label, monitor) in enumerate(experiment.monitors.items()):
-                history = monitor.window_history
-                done = emitted.get(slot, 0)
-                if len(history) <= done:
-                    continue
-                payload = window_rows_bytes(label, history[done:])
-                if not push(KIND_WINDOW_ROWS, spec.index, slot, payload):
-                    return
-                emitted[slot] = len(history)
-
         with PROFILER.timer("fleet.device"):
-            result = experiment.run(
-                spec.duration_s,
-                spec.measure_after_s,
-                on_window=flush if use_ring else None,
-            )
-        results_bytes = results_csv_bytes({spec.policy: result})
-        if use_ring and overflow_from is None:
-            # The final window callback fired at the end boundary, but a
-            # flush that hit overflow mid-device leaves partial rows; a
-            # last sweep is free when there is nothing new.
-            flush(-1)
-        if use_ring and overflow_from is None:
-            push(KIND_RESULTS, spec.index, 0, results_bytes)
-        if ring is None or (overflow_from is not None and spec.index >= overflow_from):
-            # Ring rows for this device (if any) are partial; the parent
-            # ignores ring records at indices >= overflow_from and uses
-            # these complete bytes instead.
-            fallback[spec.index] = results_bytes + windows_csv_bytes(
-                {
-                    name: monitor.window_history
-                    for name, monitor in experiment.monitors.items()
-                }
-            )
+            outcome = _run_experiment_cell(spec.experiment_cell())
+        telemetry[spec.index] = outcome.telemetry
         device_wall_s[spec.index] = time.perf_counter() - started
-
-    if ring is not None:
-        PROFILER.count("fleet.ring_bytes", ring_bytes)
-        ring.close()
     return CellOutcome(
         cell=cell,
         ok=True,
         result={
-            "shard": cell.shard_index,
-            "devices": [spec.index for spec in cell.devices],
             "arena_attached": arena_attached,
-            "overflow_from": overflow_from,
-            "fallback": fallback,
-            "ring_bytes": ring_bytes,
+            "telemetry": telemetry,
             "device_wall_s": device_wall_s,
         },
         telemetry=b"",
     )
-
-
-def shard_device_count(devices: List[DeviceSpec], shards: int) -> List[int]:
-    """Round-robin shard sizes (diagnostic helper for sizing docs)."""
-    return [len(devices[k::shards]) for k in range(max(shards, 1))]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.fleet.arena import ArenaManifest
-from repro.parallel.matrix import plans_for
+from repro.parallel.matrix import ExperimentCell
 from repro.parallel.worker import CellOutcome, register_runner
 
 
@@ -42,9 +42,17 @@ class DeviceSpec:
             f"{self.policy}/s{self.seed}"
         )
 
-    def plans(self) -> list:
-        """The device's vSSD plans (built fresh — plans are mutable)."""
-        return plans_for(self.workloads)
+    def experiment_cell(self) -> ExperimentCell:
+        """The single-device sweep cell that runs this device."""
+        return ExperimentCell(
+            scenario="+".join(self.workloads),
+            workloads=self.workloads,
+            policy=self.policy,
+            seed=self.seed,
+            duration_s=self.duration_s,
+            measure_after_s=self.measure_after_s,
+            num_channels=self.num_channels,
+        )
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,6 @@ class FleetShardCell:
 
     shard_index: int
     devices: Tuple[DeviceSpec, ...]
-    #: Shared ring segment for telemetry (None: ship over the pipe).
-    ring_name: Optional[str] = None
     #: Shared warm-state arena (None: regular snapshot path).
     arena: Optional[ArenaManifest] = None
     #: Name of the registered cell runner (``repro.parallel.worker``).

@@ -16,7 +16,7 @@ The five systems of Section 4.1 are expressed as policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -401,7 +401,6 @@ class Experiment:
         duration_s: float = 30.0,
         measure_after_s: float = 6.0,
         detsan: Optional["DetsanRecorder"] = None,
-        on_window: Optional["Callable[[int], None]"] = None,
     ) -> ExperimentResult:
         """Run the experiment and collect per-vSSD and device metrics.
 
@@ -413,12 +412,6 @@ class Experiment:
         lands exactly on every boundary either way, events with
         timestamps inside a chunk fire in the same (time, seq) order,
         and checkpoints neither draw randomness nor schedule events.
-
-        ``on_window`` hooks the same chunk boundaries without a
-        recorder: the fleet runner uses it to flush freshly completed
-        telemetry windows into its shared ring buffer.  The callback
-        must be read-only with respect to simulated state — it runs
-        between windows, outside the event loop.
         """
         self.build()
         sim = self.virt.sim
@@ -438,22 +431,17 @@ class Experiment:
 
             if detsan_enabled():
                 detsan = DetsanRecorder(label=f"{self.policy}/s{self.seed}")
-        if detsan is None and on_window is None:
+        if detsan is None:
             sim.run_until_seconds(end_s)
         else:
-
-            def at_boundary(window: int) -> None:
-                """Per-window hooks: detsan checkpoint, then telemetry flush."""
-                if detsan is not None:
-                    detsan.checkpoint(window, self)
-                if on_window is not None:
-                    on_window(window)
-
+            recorder = detsan
             sim.run_windows(
-                start_s, end_s, self.rl_config.decision_interval_s, at_boundary
+                start_s,
+                end_s,
+                self.rl_config.decision_interval_s,
+                lambda window: recorder.checkpoint(window, self),
             )
-            if detsan is not None:
-                self.detsan = detsan
+            self.detsan = detsan
         return self._collect(end_s)
 
     def schedule_workload_switch(self, plan_name: str, new_workload: str, at_s: float) -> None:

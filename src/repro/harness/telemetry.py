@@ -41,10 +41,9 @@ WINDOW_COLUMNS = (
 def window_row_values(label: str, window: WindowStats) -> list:
     """One window's CSV field list, with the canonical decimal formats.
 
-    Every exporter of per-window telemetry — the in-process CSV writers
-    below and the fleet runner's shared-memory ring encoder — builds its
-    rows through this one function, so "byte-identical telemetry" is
-    guaranteed by construction rather than by parallel format strings.
+    Every exporter of per-window telemetry builds its rows through this
+    one function, so "byte-identical telemetry" is guaranteed by
+    construction rather than by parallel format strings.
     """
     return [
         label,
@@ -75,28 +74,6 @@ def _write_window_rows(
             writer.writerow(window_row_values(label, window))
             rows += 1
     return rows
-
-
-def window_header_bytes() -> bytes:
-    """The window-CSV header line alone, encoded exactly as
-    :func:`windows_csv_bytes` emits it (csv dialect, ``\\r\\n``)."""
-    buffer = io.StringIO(newline="")
-    csv.writer(buffer).writerow(WINDOW_COLUMNS)
-    return buffer.getvalue().encode("utf-8")
-
-
-def window_rows_bytes(label: str, windows: Iterable[WindowStats]) -> bytes:
-    """Encoded data rows (no header) for one vSSD label.
-
-    ``window_header_bytes() + window_rows_bytes(a) + window_rows_bytes(b)``
-    over the same histories equals ``windows_csv_bytes({a, b})`` byte for
-    byte — the property the fleet ring merge relies on.
-    """
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    for window in windows:
-        writer.writerow(window_row_values(label, window))
-    return buffer.getvalue().encode("utf-8")
 
 
 def windows_to_csv(

@@ -2,29 +2,34 @@
 
 Design notes:
 
-* **One process per cell.**  A worker process runs exactly one cell and
-  exits.  A cell that segfaults, OOMs, or calls ``os._exit`` kills only
-  its own process; the sweep records a structured :class:`CellFailure`
-  and keeps going.  (A shared pool would poison every queued cell —
-  ``concurrent.futures`` raises ``BrokenProcessPool`` for the lot.)
-* **Bounded concurrency.**  At most ``workers`` processes run at once;
-  cells launch in matrix order as slots free up.
-* **Results over pipes.**  Each child sends one pickled
-  :class:`~repro.parallel.worker.CellOutcome` through its own pipe.  The
-  parent waits on pipes *and* process sentinels simultaneously, so large
-  payloads stream while other children keep running, and a child that
-  dies before sending is detected by its sentinel.
+* **A persistent worker pool.**  At most ``workers`` long-lived
+  processes drain the cell queue, each over its own duplex pipe.  A
+  worker outlives individual cells, so its in-process caches — the
+  warm-state snapshot cache above all — amortize across every cell it
+  runs.
+* **Crash isolation per worker process.**  A cell that segfaults, OOMs,
+  or calls ``os._exit`` kills only the worker running it; the pool
+  loses that one cell, retries it on a fresh worker with backoff, and
+  records a structured :class:`CellFailure` once the retry budget is
+  spent.  A worker silent past its deadline is terminated the same way.
+  (``concurrent.futures`` would instead raise ``BrokenProcessPool`` for
+  every queued cell.)
+* **Results over pipes.**  Each worker sends one pickled
+  :class:`~repro.parallel.worker.CellOutcome` per cell.  The parent
+  waits on pipes *and* process sentinels simultaneously, so a worker
+  that dies before sending is detected by its sentinel.
 * **Fork start method.**  When available (Linux), ``fork`` shares the
-  parent's warmed pre-train/classifier caches copy-on-write, so workers
-  never redundantly pre-train.  Other platforms fall back to ``spawn``,
-  where the disk cache (warmed by :func:`warm_policy_cache`) serves the
-  same purpose.
+  parent's warmed pre-train/classifier and snapshot caches
+  copy-on-write, so workers never redundantly pre-train.  Other
+  platforms fall back to ``spawn``, where the disk cache (warmed by
+  :func:`warm_policy_cache`) serves the same purpose.
 * **Determinism.**  Cells are seeded by their matrix coordinates alone,
   and merging happens in matrix order — so a sweep's merged telemetry is
-  byte-identical no matter how many workers ran it or which finished
-  first.  ``run_serial`` runs the same :func:`run_cell` code in-process;
-  :meth:`SweepResult.telemetry` equality between the two is asserted in
-  the test suite and checkable via ``repro sweep --verify-serial``.
+  byte-identical no matter how many workers ran it, which worker ran
+  which cell, or which finished first.  ``run_serial`` runs the same
+  :func:`run_cell` code in-process; :meth:`SweepResult.telemetry`
+  equality between the two is asserted in the test suite and checkable
+  via ``repro sweep --verify-serial``.
 """
 
 from __future__ import annotations
@@ -124,19 +129,7 @@ class SweepResult:
         }
 
 
-def _child_main(
-    cell: WorkCell, profile: bool, conn: connection.Connection
-) -> None:
-    """Worker process body: run one cell, ship the outcome, exit."""
-    outcome = run_cell(cell, profile=profile)
-    # Results can hold numpy arrays and megabytes of telemetry; if the
-    # pipe buffer fills, send() blocks until the parent drains it (the
-    # parent reads concurrently — see ParallelRunner._drain).
-    conn.send(outcome)
-    conn.close()
-
-
-def _pool_worker_main(conn: connection.Connection) -> None:
+def _worker_main(conn: connection.Connection) -> None:
     """Persistent worker body: drain a queue of cells over one pipe.
 
     The process outlives individual cells, so its in-process caches —
@@ -180,7 +173,7 @@ def run_serial(
 
 
 class ParallelRunner:
-    """Fans cells across worker processes with crash isolation."""
+    """Fans cells across a pool of worker processes with crash isolation."""
 
     def __init__(
         self,
@@ -190,7 +183,6 @@ class ParallelRunner:
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
         retry_backoff_s: float = 0.5,
-        pool: bool = False,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -201,10 +193,10 @@ class ParallelRunner:
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         #: Hung-worker watchdog: a worker that neither reports nor exits
-        #: within this budget is terminated (``None`` disables the
-        #: watchdog).  The sweep then retries or records the cell as a
-        #: hung :class:`CellFailure` and *returns the other cells'
-        #: results* — one wedged worker no longer hangs the whole sweep.
+        #: within this budget of receiving a cell is terminated (``None``
+        #: disables the watchdog).  The sweep then retries or records the
+        #: cell as a hung :class:`CellFailure` and *returns the other
+        #: cells' results* — one wedged worker never hangs the whole sweep.
         self.join_timeout_s = join_timeout_s
         #: Total launches a cell may consume.  Worker *deaths* (crash or
         #: hang — environmental failures) are retried with exponential
@@ -227,78 +219,6 @@ class ParallelRunner:
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
-        #: Persistent-pool mode: long-lived workers process a queue of
-        #: cells instead of one process per cell.  Each worker's
-        #: in-process warm-state snapshot cache then serves every cell
-        #: it runs, amortizing device build+warm across the sweep.
-        #: Crash isolation, retry-with-backoff, and the hung-worker
-        #: watchdog are preserved: a dead worker takes only its current
-        #: cell down (retried), and a replacement worker rebuilds its
-        #: cache on first use.
-        self.pool = pool
-
-    def run(self, cells: Sequence[WorkCell]) -> SweepResult:
-        """Run the cells; returns merged results in matrix order."""
-        if self.pool:
-            return self._run_pool(cells)
-        started = time.perf_counter()
-        # index -> [cell, process, conn, payload-or-None, attempt, deadline]
-        slots: dict = {}
-        outcomes: dict = {}  # index -> CellOutcome | CellFailure
-        cells = list(cells)
-        # Launch queue entries: (index, cell, attempt, not_before).  The
-        # initial pass launches in matrix order; crashed/hung workers
-        # re-enter at the back with a backoff-delayed not_before.
-        pending: list = [(i, cell, 1, 0.0) for i, cell in enumerate(cells)]
-        while pending or slots:
-            now = time.monotonic()
-            i = 0
-            while i < len(pending) and len(slots) < self.workers:
-                index, cell, attempt, not_before = pending[i]
-                if not_before > now:
-                    i += 1
-                    continue
-                pending.pop(i)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(
-                    target=_child_main,
-                    args=(cell, self.profile, child_conn),
-                    name=f"repro-cell-{cell.cell_id}",
-                )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    None
-                    if self.join_timeout_s is None
-                    else time.monotonic() + self.join_timeout_s
-                )
-                slots[index] = [cell, proc, parent_conn, None, attempt, deadline]
-            if not slots:
-                # Every queued cell is waiting out its retry backoff.
-                wake = min(entry[3] for entry in pending)
-                time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
-                continue
-            self._drain(slots, outcomes, pending)
-        return SweepResult(
-            outcomes=[outcomes[i] for i in range(len(cells))],
-            wall_s=time.perf_counter() - started,
-            workers=self.workers,
-            mode=f"parallel/{self.start_method}",
-        )
-
-    def _wait_timeout(self, slots: dict, pending: list) -> Optional[float]:
-        """How long ``connection.wait`` may block before the runner must
-        act: the nearest watchdog deadline or retry wake-up."""
-        now = time.monotonic()
-        horizons = [
-            deadline
-            for _c, _p, _conn, _payload, _a, deadline in slots.values()
-            if deadline is not None
-        ]
-        horizons.extend(entry[3] for entry in pending)
-        if not horizons:
-            return None
-        return max(min(horizons) - now, 0.0)
 
     def _reap(self, proc) -> None:
         """Bounded shutdown of a finished or condemned worker process.
@@ -337,87 +257,7 @@ class ParallelRunner:
                 cell=cell, exitcode=exitcode, attempts=attempt, hung=hung
             )
 
-    def _drain(self, slots: dict, outcomes: dict, pending: list) -> None:
-        """Wait for at least one child event; collect whatever is ready.
-
-        Also the hung-worker watchdog: waiting is bounded by the nearest
-        slot deadline, and a worker still silent past its deadline is
-        terminated and retried/failed, so the sweep always returns the
-        surviving cells' results.
-        """
-        handles = []
-        for cell, proc, conn, payload, attempt, deadline in slots.values():
-            if payload is None:
-                handles.append(conn)
-            handles.append(proc.sentinel)
-        ready = set(
-            connection.wait(handles, timeout=self._wait_timeout(slots, pending))
-        )
-        finished = []
-        for index, slot in slots.items():
-            cell, proc, conn, payload, attempt, deadline = slot
-            if payload is None and conn in ready:
-                try:
-                    slot[3] = conn.recv()
-                except EOFError:
-                    # Child closed the pipe without sending — it is dead
-                    # or dying; the sentinel path below classifies it.
-                    pass
-            if proc.sentinel in ready:
-                finished.append(index)
-        for index in finished:
-            cell, proc, conn, payload, attempt, _deadline = slots.pop(index)
-            # The child may have exited between wait() and recv(); pull
-            # any payload that is already buffered in the pipe.
-            if payload is None and conn.poll():
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-            self._reap(proc)
-            conn.close()
-            if payload is None:
-                # The worker died without reporting — an environmental
-                # failure (crash, OOM kill); worth retrying.
-                self._retry_or_fail(
-                    index, cell, attempt, pending, outcomes, proc.exitcode, False
-                )
-            elif payload.ok:
-                payload.attempts = attempt
-                outcomes[index] = payload
-            else:
-                # The runner raised in-process: deterministic, no retry.
-                outcomes[index] = CellFailure(
-                    cell=cell, error=payload.error, attempts=attempt
-                )
-        now = time.monotonic()
-        expired = [
-            index
-            for index, slot in slots.items()
-            if slot[5] is not None and now >= slot[5]
-        ]
-        for index in expired:
-            cell, proc, conn, payload, attempt, _deadline = slots.pop(index)
-            proc.terminate()
-            self._reap(proc)
-            conn.close()
-            if payload is not None and payload.ok:
-                # Reported but wedged on exit — the result is in hand.
-                payload.attempts = attempt
-                outcomes[index] = payload
-            elif payload is not None:
-                outcomes[index] = CellFailure(
-                    cell=cell, error=payload.error, attempts=attempt
-                )
-            else:
-                self._retry_or_fail(
-                    index, cell, attempt, pending, outcomes, proc.exitcode, True
-                )
-
-    # ------------------------------------------------------------------
-    # Persistent pool
-    # ------------------------------------------------------------------
-    def _spawn_pool_worker(self, serial: int) -> list:
+    def _spawn_worker(self, serial: int) -> list:
         """Start one long-lived worker; returns its mutable slot.
 
         Slot layout: ``[proc, conn, assignment, deadline]`` where
@@ -426,7 +266,7 @@ class ParallelRunner:
         """
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_pool_worker_main,
+            target=_worker_main,
             args=(child_conn,),
             name=f"repro-pool-{serial}",
         )
@@ -434,16 +274,19 @@ class ParallelRunner:
         child_conn.close()
         return [proc, parent_conn, None, None]
 
-    def _run_pool(self, cells: Sequence[WorkCell]) -> SweepResult:
-        """Queue the cells through persistent workers, matrix order.
+    def run(self, cells: Sequence[WorkCell]) -> SweepResult:
+        """Run the cells; returns merged results in matrix order.
 
-        Determinism is unchanged from fork mode: outcomes are keyed by
-        matrix index and merged in that order, so which worker ran a
-        cell (and in what sequence) never shows in the result bytes.
+        Outcomes are keyed by matrix index and merged in that order, so
+        which worker ran a cell (and in what sequence) never shows in
+        the result bytes.
         """
         started = time.perf_counter()
         cells = list(cells)
         outcomes: dict = {}  # index -> CellOutcome | CellFailure
+        # Queue entries: (index, cell, attempt, not_before).  The initial
+        # pass dispatches in matrix order; crashed/hung cells re-enter at
+        # the back with a backoff-delayed not_before.
         pending: list = [(i, cell, 1, 0.0) for i, cell in enumerate(cells)]
         workers: dict = {}  # wid -> [proc, conn, assignment, deadline]
         next_wid = 0
@@ -464,7 +307,7 @@ class ParallelRunner:
                         break
                     wid = next_wid
                     next_wid += 1
-                    workers[wid] = self._spawn_pool_worker(wid)
+                    workers[wid] = self._spawn_worker(wid)
                 pending.pop(i)
                 slot = workers[wid]
                 slot[1].send((index, cell, attempt, self.profile))
@@ -480,7 +323,7 @@ class ParallelRunner:
                     wake = min(entry[3] for entry in pending)
                     time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
                 continue
-            self._drain_pool(workers, outcomes, pending)
+            self._collect(workers, outcomes, pending)
         for slot in workers.values():
             proc, conn = slot[0], slot[1]
             try:
@@ -496,34 +339,28 @@ class ParallelRunner:
             mode=f"pool/{self.start_method}",
         )
 
-    def _pool_wait_timeout(self, workers: dict, pending: list) -> Optional[float]:
-        """Bound on blocking: nearest assignment deadline or retry wake."""
-        horizons = [slot[3] for slot in workers.values() if slot[3] is not None]
-        horizons.extend(entry[3] for entry in pending)
-        if not horizons:
-            return None
-        return max(min(horizons) - time.monotonic(), 0.0)
+    def _collect(self, workers: dict, outcomes: dict, pending: list) -> None:
+        """Wait for at least one worker event; collect whatever is ready.
 
-    def _drain_pool(self, workers: dict, outcomes: dict, pending: list) -> None:
-        """Collect results, dead workers, and watchdog expiries.
-
-        Mirrors :meth:`_drain`'s semantics on long-lived workers: a
-        worker death is environmental (its cell is retried with
+        A worker death is environmental (its cell is retried with
         backoff), an in-process runner error is deterministic (no
-        retry), and a worker silent past its deadline is terminated.
-        Dead and condemned workers just leave the pool — the assignment
-        loop spawns replacements while work remains.
+        retry), and a worker silent past its deadline is terminated —
+        the hung-worker watchdog.  Waiting is bounded by the nearest
+        deadline or retry wake-up.  Dead and condemned workers just
+        leave the pool; :meth:`run` spawns replacements while work
+        remains.
         """
         handles = []
         for slot in workers.values():
             if slot[2] is not None:
                 handles.append(slot[1])
             handles.append(slot[0].sentinel)
-        ready = set(
-            connection.wait(
-                handles, timeout=self._pool_wait_timeout(workers, pending)
-            )
+        horizons = [slot[3] for slot in workers.values() if slot[3] is not None]
+        horizons.extend(entry[3] for entry in pending)
+        timeout = (
+            max(min(horizons) - time.monotonic(), 0.0) if horizons else None
         )
+        ready = set(connection.wait(handles, timeout=timeout))
         dead = []
         for wid, slot in workers.items():
             proc, conn, assignment, _deadline = slot

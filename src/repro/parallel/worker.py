@@ -1,9 +1,9 @@
 """Cell execution: what runs inside each worker process.
 
 :func:`run_cell` is the single entry point for both the serial and the
-parallel paths — the parallel runner forks a process that calls exactly
-the code the serial loop calls, which is what makes the serial-vs-
-parallel byte-equality guarantee checkable rather than aspirational.
+parallel paths — a pool worker calls exactly the code the serial loop
+calls, which is what makes the serial-vs-parallel byte-equality
+guarantee checkable rather than aspirational.
 
 A cell's outcome carries its telemetry as *bytes* (results CSV + window
 CSV) so equality is a trivial comparison, plus a profiler snapshot so

@@ -334,8 +334,8 @@ class Simulator:
         (time, seq) order, and a callback that neither draws randomness
         nor schedules events cannot perturb the run.  ``on_window(i)``
         fires after each boundary, including the final (possibly
-        partial) window.  Used by the determinism sanitizer's
-        checkpoints and the fleet runner's per-window telemetry flush.
+        partial) window.  The determinism sanitizer's per-window
+        checkpoints are its one user.
         """
         fired = 0
         window = 0

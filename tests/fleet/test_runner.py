@@ -1,9 +1,9 @@
 """Fleet runner: sharded telemetry byte-equality, degradation, healing.
 
 The fleet contract in one line: however the devices are executed —
-serial loop, sharded pool, arena on or off, rings overflowing into the
-pipe fallback, a shard worker crashing and being retried — the merged
-telemetry is byte-identical and ``/dev/shm`` ends empty.
+serial loop, sharded pool, arena on or off, a shard worker crashing and
+being retried — the merged telemetry is byte-identical and ``/dev/shm``
+ends empty, even when the watchdog kills a hung shard worker.
 """
 
 import dataclasses
@@ -20,7 +20,8 @@ from repro.fleet import (
     leaked_segments,
     run_fleet_serial,
 )
-from repro.fleet.shard import shard_device_count
+from repro.fleet.arena import install_manifest
+from repro.harness import snapshots
 from repro.parallel.worker import RUNNERS
 
 SPECS = build_fleet(
@@ -47,12 +48,6 @@ def test_build_fleet_is_homogeneous_with_per_device_seeds():
     assert SPECS[2].device_id == "dev002/ycsb/hardware/s13"
 
 
-def test_shard_device_count_round_robin():
-    assert shard_device_count(SPECS, 3) == [2, 1, 1]
-    assert shard_device_count(SPECS, 1) == [4]
-    assert shard_device_count(SPECS, 8) == [1, 1, 1, 1, 0, 0, 0, 0]
-
-
 def test_sharded_fleet_matches_serial_arena_off(serial):
     fleet = FleetShardRunner(shards=2, arena=False).run(SPECS)
     assert fleet.ok, fleet.errors
@@ -60,18 +55,29 @@ def test_sharded_fleet_matches_serial_arena_off(serial):
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena == {"mode": "off", "published": False,
                            "attached_shards": 0}
-    # Ring-recovered telemetry is credited as pipe bytes saved.
-    assert fleet.profile["counters"]["ipc.bytes_saved"] > 0
+    # Telemetry travels over the result pipe: with no arena, nothing is
+    # credited as saved.
+    assert "ipc.bytes_saved" not in fleet.profile["counters"]
     assert leaked_segments() == []
 
 
 def test_sharded_fleet_matches_serial_arena_on(serial):
+    # Forked shard workers inherit this process's snapshot cache, which
+    # the serial fixture filled: start cold so devices restore from the
+    # arena rather than from inherited cache entries.
+    snapshots.clear_memory_cache()
     fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
     assert fleet.ok, fleet.errors
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena["published"]
     assert fleet.arena["attached_shards"] == 2
-    assert fleet.profile["counters"]["arena.attach"] >= 1
+    counters = fleet.profile["counters"]
+    assert counters["arena.attach"] >= 1
+    assert counters["arena.hits"] >= 1
+    # The counter's one meaning: arena payload bytes per zero-copy restore.
+    assert counters["ipc.bytes_saved"] == (
+        counters["arena.hits"] * fleet.arena["payload_nbytes"]
+    )
     assert leaked_segments() == []
     # Per-shard profiler namespaces surface in the merged profile.
     assert any(
@@ -80,18 +86,6 @@ def test_sharded_fleet_matches_serial_arena_on(serial):
     assert any(
         name.startswith("fleet.shard1.") for name in fleet.profile["timers"]
     )
-
-
-def test_tiny_ring_overflow_falls_back_byte_identically(serial):
-    """A ring too small for even one record pushes every device onto the
-    pipe fallback — throughput degrades, the bytes do not."""
-    fleet = FleetShardRunner(shards=2, arena=False, ring_capacity=64).run(SPECS)
-    assert fleet.ok, fleet.errors
-    assert fleet.telemetry == serial.telemetry
-    for outcome in fleet.outcomes:
-        assert outcome.result["overflow_from"] is not None
-        assert outcome.result["fallback"]
-    assert leaked_segments() == []
 
 
 def test_empty_fleet_is_ok():
@@ -119,8 +113,8 @@ def _flaky_fleet_shard(cell):
 def test_crashed_shard_retried_byte_identical_and_leak_free(
     serial, tmp_path, monkeypatch
 ):
-    """Every shard worker dies once mid-run; the retry reuses the same
-    ring (reset first) and the merged bytes still equal serial."""
+    """Every shard worker dies once mid-run; the retried shards' merged
+    bytes still equal serial."""
     monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
     monkeypatch.setitem(RUNNERS, "fleet_shard", _flaky_fleet_shard)
     fleet = FleetShardRunner(shards=2, arena=True, max_attempts=2).run(SPECS)
@@ -143,6 +137,31 @@ def test_crashing_every_attempt_reports_errors_without_leaks(monkeypatch):
     assert not fleet.ok
     assert fleet.errors
     assert fleet.device_telemetry == {}
+    assert leaked_segments() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the hang runner is injected via fork inheritance",
+)
+def test_hung_shard_killed_by_watchdog_without_leaks(monkeypatch):
+    """A shard worker that attached the arena and then wedges is killed
+    at its deadline; the run reports the shard and leaks no segment."""
+    hang = RUNNERS["hang"]
+
+    def _attach_then_hang(cell):
+        assert install_manifest(cell.arena)
+        return hang(cell)
+
+    monkeypatch.setitem(RUNNERS, "fleet_shard", _attach_then_hang)
+    fleet = FleetShardRunner(
+        shards=2, arena=True, join_timeout_s=1.0, max_attempts=1
+    ).run(SPECS)
+    assert not fleet.ok
+    assert fleet.arena["published"]
+    assert len(fleet.errors) == 2
+    for k, error in enumerate(fleet.errors):
+        assert f"fleet/shard{k}(" in error and "hung" in error
     assert leaked_segments() == []
 
 

@@ -64,6 +64,7 @@ def test_serial_and_parallel_telemetry_byte_equal(serial_result, parallel_result
     assert serial_result.telemetry == parallel_result.telemetry
     assert serial_result.telemetry_digest == parallel_result.telemetry_digest
     assert len(parallel_result.telemetry) > 0
+    assert parallel_result.mode.startswith("pool/")
 
 
 def test_parallel_outcomes_in_matrix_order(parallel_result):
@@ -168,11 +169,13 @@ def _good_cell(scenario, seed=0):
 
 
 def test_crashed_worker_retried_then_succeeds(tmp_path):
-    """A worker that hard-crashes once comes back on attempt 2."""
+    """A worker that hard-crashes once is replaced, and its cell comes
+    back on attempt 2 while the cells around it run once."""
     marker = tmp_path / "flaky-marker"
     cells = [
         _good_cell("good"),
         ExperimentCell(str(marker), ("ycsb",), "hardware", 0, runner="flaky"),
+        _good_cell("also-good", seed=1),
     ]
     result = ParallelRunner(
         workers=2, max_attempts=2, retry_backoff_s=0.05
@@ -183,6 +186,7 @@ def test_crashed_worker_retried_then_succeeds(tmp_path):
     assert flaky.attempts == 2
     assert flaky.telemetry == b"flaky-ok\n"
     assert result.outcomes[0].attempts == 1
+    assert result.outcomes[2].attempts == 1
     assert marker.exists()
 
 
@@ -200,9 +204,14 @@ def test_crash_every_attempt_fails_with_attempt_count():
 
 
 def test_deterministic_exception_is_not_retried():
-    """A runner that raises fails on attempt 1 even with retries allowed."""
-    cells = [ExperimentCell("bad", ("no-such-workload",), "hardware", 0)]
+    """A runner that raises fails on attempt 1 even with retries allowed,
+    and the worker that caught it goes on to run the next cell."""
+    cells = [
+        ExperimentCell("bad", ("no-such-workload",), "hardware", 0),
+        _good_cell("good"),
+    ]
     result = ParallelRunner(workers=1, max_attempts=3).run(cells)
+    assert len(result.succeeded) == 1
     (failure,) = result.failures
     assert failure.error["type"] == "KeyError"
     assert failure.attempts == 1
@@ -274,21 +283,11 @@ def test_retried_worker_profile_absorbed_once(tmp_path):
 # ----------------------------------------------------------------------
 # Persistent worker pool
 # ----------------------------------------------------------------------
-def test_pool_telemetry_byte_equal_to_serial(serial_result):
-    result = ParallelRunner(workers=2, pool=True).run(MATRIX.cells())
-    assert result.ok
-    assert result.mode.startswith("pool/")
-    assert result.telemetry == serial_result.telemetry
-    assert result.telemetry_digest == serial_result.telemetry_digest
-    ids = [o.cell.cell_id for o in result.outcomes]
-    assert ids == [c.cell_id for c in MATRIX.cells()]
-
-
 def test_pool_reuses_workers_across_cells():
     """More cells than workers: the pool must reuse processes rather
     than forking one per cell."""
     cells = [_good_cell(f"s{i}", seed=i % 2) for i in range(4)]
-    result = ParallelRunner(workers=2, pool=True).run(cells)
+    result = ParallelRunner(workers=2).run(cells)
     assert result.ok
     pids = {o.pid for o in result.outcomes}
     assert len(pids) <= 2
@@ -305,7 +304,7 @@ def test_pool_worker_snapshot_cache_amortizes_warm(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "mem")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     cells = [_good_cell("a", seed=0), _good_cell("b", seed=0)]
-    result = ParallelRunner(workers=1, pool=True, profile=True).run(cells)
+    result = ParallelRunner(workers=1, profile=True).run(cells)
     assert result.ok
     merged = result.profile
     assert merged["counters"].get("snapshot.misses", 0) == 1
@@ -314,7 +313,24 @@ def test_pool_worker_snapshot_cache_amortizes_warm(monkeypatch, tmp_path):
     assert merged["timers"]["snapshot.restore"]["calls"] == 1
 
 
+# The five tests below pin the pool's worker lifecycle: which process
+# runs a cell after a crash, a raise or a hang.  Their single-mode
+# counterparts above assert the outcome of the failing cell itself.
+def test_pool_telemetry_byte_equal_to_serial(serial_result):
+    """One worker runs the whole matrix in sequence: state a cell leaves
+    in the long-lived process never shows in the next cell's bytes."""
+    result = ParallelRunner(workers=1).run(MATRIX.cells())
+    assert result.ok
+    assert len({o.pid for o in result.outcomes}) == 1
+    assert result.telemetry == serial_result.telemetry
+    assert result.telemetry_digest == serial_result.telemetry_digest
+    ids = [o.cell.cell_id for o in result.outcomes]
+    assert ids == [c.cell_id for c in MATRIX.cells()]
+
+
 def test_pool_dead_worker_respawned_and_cell_retried(tmp_path):
+    """A crashed worker is replaced by a new process, which runs both
+    the queued cell and the crashed cell's retry."""
     marker = tmp_path / "pool-flaky-marker"
     cells = [
         _good_cell("good"),
@@ -322,51 +338,66 @@ def test_pool_dead_worker_respawned_and_cell_retried(tmp_path):
         _good_cell("also-good", seed=1),
     ]
     result = ParallelRunner(
-        workers=2, pool=True, max_attempts=2, retry_backoff_s=0.05
+        workers=1, max_attempts=2, retry_backoff_s=0.05
     ).run(cells)
     assert result.ok
-    flaky = result.outcomes[1]
-    assert isinstance(flaky, CellOutcome)
+    first, flaky, after = result.outcomes
     assert flaky.attempts == 2
     assert flaky.telemetry == b"flaky-ok\n"
+    assert flaky.pid == after.pid
+    assert flaky.pid != first.pid
     assert marker.exists()
 
 
 def test_pool_crash_every_attempt_fails_with_attempt_count():
-    cells = [ExperimentCell("boom", ("ycsb",), "hardware", 0, runner="crash")]
+    """A cell that kills every worker it lands on fails after its last
+    attempt, and the pool still spawns a worker for the next cell."""
+    cells = [
+        ExperimentCell("boom", ("ycsb",), "hardware", 0, runner="crash"),
+        _good_cell("good"),
+    ]
     result = ParallelRunner(
-        workers=1, pool=True, max_attempts=2, retry_backoff_s=0.05
+        workers=1, max_attempts=2, retry_backoff_s=0.05
     ).run(cells)
     (failure,) = result.failures
     assert isinstance(failure, CellFailure)
     assert failure.attempts == 2
     assert not failure.hung
+    (good,) = result.succeeded
+    assert good.cell.scenario == "good"
+    assert good.attempts == 1
 
 
 def test_pool_deterministic_exception_not_retried():
+    """A runner that raises costs its cell, not its worker: the same
+    process runs the cells before and after it."""
     cells = [
         _good_cell("good"),
         ExperimentCell("bad", ("no-such-workload",), "hardware", 0),
+        _good_cell("also-good", seed=1),
     ]
-    result = ParallelRunner(workers=1, pool=True, max_attempts=3).run(cells)
-    assert len(result.succeeded) == 1
+    result = ParallelRunner(workers=1, max_attempts=3).run(cells)
     (failure,) = result.failures
     assert failure.error["type"] == "KeyError"
     assert failure.attempts == 1
+    assert len(result.succeeded) == 2
+    assert len({o.pid for o in result.succeeded}) == 1
 
 
 def test_pool_hung_worker_terminated_with_partial_results():
-    good = [_good_cell("good", 0), _good_cell("also-good", 1)]
+    """With one worker, the watchdog's kill frees the pool: a new
+    process runs the cell queued behind the hung one."""
+    good = [_good_cell("good", 0)]
     cells = [
-        good[0],
         ExperimentCell("wedge", ("ycsb",), "hardware", 0, runner="hang"),
-        good[1],
+        good[0],
     ]
     result = ParallelRunner(
-        workers=3, pool=True, join_timeout_s=1.5, max_attempts=1
+        workers=1, join_timeout_s=1.5, max_attempts=1
     ).run(cells)
     assert not result.ok
     (failure,) = result.failures
     assert failure.hung
-    assert len(result.succeeded) == 2
+    assert failure.attempts == 1
+    assert len(result.succeeded) == 1
     assert result.telemetry == run_serial(good).telemetry
