@@ -2,9 +2,10 @@
 
 Measures the transitions-per-second of the two rollout-collection
 engines in :mod:`repro.core.pretrain` — the scalar reference (one
-``FastFleetEnv`` at a time, one ``policy.act`` per agent per window) and
-the vectorized engine (a lockstep :class:`VectorFastFleetEnv` fleet with
-one ``forward_batch`` per window) — and writes ``BENCH_pretrain.json``.
+``FastFleetEnv`` at a time, one ``forward_batch`` per window over its
+agents, sampled in turn from one shared RNG) and the vectorized engine
+(a lockstep :class:`VectorFastFleetEnv` fleet with one ``forward_batch``
+per window over the whole fleet) — and writes ``BENCH_pretrain.json``.
 
 Two assertions, mirroring ``test_singlerun_perf``'s strictness split:
 
@@ -13,8 +14,10 @@ Two assertions, mirroring ``test_singlerun_perf``'s strictness split:
   bit-identical; a short fixed-seed ``pretrain`` on each engine must
   land greedy-eval scores within a small tolerance on any host.  (The
   component-level *bit-exactness* contracts — batched act, vectorized
-  window dynamics, bulk buffer appends — live in the test suite:
-  ``tests/core/test_vector_env.py``, ``tests/rl/test_buffer.py``.)
+  window dynamics, bulk buffer appends, the scalar engine against its
+  per-agent loop — live in the test suite:
+  ``tests/core/test_vector_env.py``, ``tests/rl/test_buffer.py``,
+  ``tests/core/test_pretrain.py``.)
 * **The >= 2x throughput gate is host-gated.**  Wall clock on shared
   small hosts is too noisy for a hard assertion, so the gate is
   skipped-with-reason below 4 cores or with ``REPRO_PRETRAIN_GATE=off``

@@ -121,12 +121,12 @@ class FastFleetEnv:
         self.chan_bw = self.ssd_config.channel_write_bandwidth_mbps
         self.action_space = ActionSpace(self.chan_bw)
         self._featurizers = [StateFeaturizer(self.rl_config) for _ in range(self.n)]
-        # Window-loop scratch (``n`` is fixed for the env's lifetime):
-        # _simulate_window refills these instead of building a python
-        # list + np.array per window.
-        self._demand_buf = np.empty(self.n, dtype=np.float64)
-        self._cap_buf = np.empty(self.n, dtype=np.float64)
-        self._fault_fx_buf: list = [None] * self.n
+        #: Bytes per request of each tenant's workload, floored at 1 (the
+        #: specs are fixed for the env's lifetime).
+        self._mean_io_bytes = [
+            max(spec.workload.mean_io_pages * self.ssd_config.page_size, 1.0)
+            for spec in self.specs
+        ]
         self.reset()
 
     # ------------------------------------------------------------------
@@ -154,15 +154,7 @@ class FastFleetEnv:
             self.offered[i] = int(self.rng.integers(0, max_offer + 1))
             self.priority[i] = Priority(int(self.rng.integers(0, 3)))
         for i in range(self.n):
-            want = int(self.rng.integers(0, 5))
-            for j in self._pool_order(i):
-                if want <= 0:
-                    break
-                free = self.offered[j] - self.harvested[:, j].sum()
-                take = min(want, int(free))
-                if take > 0:
-                    self.harvested[i, j] += take
-                    want -= take
+            self._harvest(i, int(self.rng.integers(0, 5)))
         for featurizer in self._featurizers:
             featurizer.reset()
         # Produce an initial observation from one idle window.
@@ -206,16 +198,22 @@ class FastFleetEnv:
                 self._reclaim(i, self.offered[i] - target)
             self.offered[i] = target
             return
-        # Harvest: take channels from the pool, never from itself.
-        want = int(level)
-        for j in self._pool_order(i):
-            if want <= 0:
-                break
-            free = self.offered[j] - self.harvested[:, j].sum()
-            take = min(want, int(free))
+        self._harvest(i, int(level))
+
+    def _harvest(self, i: int, want: int) -> None:
+        """vSSD i takes up to ``want`` channels from the pool, never
+        from itself, drawing on the offerers in :meth:`_pool_order`."""
+        if want <= 0:
+            return
+        # A take from offerer j changes only column j, so each offerer's
+        # spare supply as ordered is still its free count when reached.
+        for free, j in self._pool_order(i):
+            take = min(want, free)
             if take > 0:
                 self.harvested[i, j] += take
                 want -= take
+                if want <= 0:
+                    break
 
     def _reclaim(self, i: int, count: int) -> None:
         """Home vSSD i takes back ``count`` channels from harvesters."""
@@ -227,14 +225,12 @@ class FastFleetEnv:
             count -= take
 
     def _pool_order(self, i: int) -> list:
-        """Offerers with the most spare supply first, excluding i."""
-        spare = [
-            (self.offered[j] - self.harvested[:, j].sum(), j)
-            for j in range(self.n)
-            if j != i
-        ]
+        """``(spare, j)`` per offerer j != i, most spare supply first."""
+        lent = self.harvested.sum(axis=0).tolist()
+        offered = self.offered.tolist()
+        spare = [(offered[j] - lent[j], j) for j in range(self.n) if j != i]
         spare.sort(reverse=True)
-        return [j for _s, j in spare]
+        return spare
 
     # ------------------------------------------------------------------
     # Window dynamics
@@ -244,49 +240,48 @@ class FastFleetEnv:
         t0, t1 = self.time_s, self.time_s + window_s
         self.time_s = t1
         stats = []
-        shared_out = self.harvested.sum(axis=0)  # channels lent, per home
-        shared_in = self.harvested.sum(axis=1)   # channels borrowed, per harvester
-        # Scratch-buffer refills: each element stores the same python
-        # float the old list-comprehension + np.array path produced, so
-        # the window arithmetic (and telemetry digests) are unchanged.
-        demands = self._demand_buf
-        for i in range(self.n):
-            demands[i] = self._demand_mbps(i, t0)
+        n = self.n
+        # Python ints and floats throughout (one tolist() per window, no
+        # numpy scalars).  Each value must stay the same IEEE operation,
+        # in the same order, as VectorFastFleetEnv's array arithmetic:
+        # tests/core/test_vector_env.py asserts the two bit-equal.
+        harvested = self.harvested.tolist()
+        offered = self.offered.tolist()
+        shared_out = [sum(column) for column in zip(*harvested)]  # lent, per home
+        demands = [self._demand_mbps(i, t0) for i in range(n)]
         effective_bw = self.chan_bw * CHANNEL_EFFICIENCY
-        capacities = self._cap_buf
-        for i in range(self.n):
-            capacities[i] = effective_bw * (
+        capacities = [
+            effective_bw
+            * (
                 self.specs[i].channels
                 - HOME_SHARE_LOSS * float(shared_out[i])
-                + HARVEST_SHARE * float(shared_in[i])
+                + HARVEST_SHARE * float(sum(harvested[i]))  # borrowed
             )
+            for i in range(n)
+        ]
         if self.fault_profile is None:
             fault_fx = None
         else:
             rel_s = t0 - self._episode_start_s
-            fault_fx = self._fault_fx_buf
-            for i in range(self.n):
-                fault_fx[i] = self.fault_profile.effects(i, rel_s)
-                capacities[i] *= fault_fx[i][0]
-        achieved = np.minimum(demands, np.maximum(capacities, 1e-6))
-        utilizations = achieved / np.maximum(capacities, 1e-6)
-        for i in range(self.n):
+            fault_fx = [self.fault_profile.effects(i, rel_s) for i in range(n)]
+            capacities = [cap * fx[0] for cap, fx in zip(capacities, fault_fx)]
+        floors = [max(cap, 1e-6) for cap in capacities]
+        achieved = [min(demand, floor) for demand, floor in zip(demands, floors)]
+        utilizations = [bw / floor for bw, floor in zip(achieved, floors)]
+        harvest_bw = HARVEST_SHARE * effective_bw
+        for i in range(n):
             spec = self.specs[i]
-            congestion = float(utilizations[i])
-            overhang = float(demands[i] / max(capacities[i], 1e-6))
+            congestion = utilizations[i]
+            overhang = demands[i] / floors[i]
             # Foreign traffic flowing through my channels: each channel a
             # harvester borrowed from me carries up to HARVEST_SHARE of a
             # channel's bandwidth, scaled by how hard the harvester is
             # actually driving its capacity.
             foreign_bw = 0.0
-            for h in range(self.n):
-                if self.harvested[h, i] > 0:
-                    foreign_bw += (
-                        HARVEST_SHARE
-                        * effective_bw
-                        * float(self.harvested[h, i])
-                        * float(utilizations[h])
-                    )
+            for h in range(n):
+                lent = harvested[h][i]
+                if lent > 0:
+                    foreign_bw += harvest_bw * float(lent) * utilizations[h]
             foreign = foreign_bw / max(spec.channels * effective_bw, 1e-6)
             tail = BASE_TAIL_US * (
                 1.0 + 2.5 * congestion**4 + self.interference_coef * foreign
@@ -312,25 +307,23 @@ class FastFleetEnv:
                 queue_delay = max(overhang - 1.0, 0.0) * BI_QDELAY_SCALE_US + tail
                 avg_lat = queue_delay + 4.0 * BASE_TAIL_US
                 lat_for_slo = avg_lat
-            violation = float(
-                np.clip(0.6 * (lat_for_slo / spec.slo_latency_us - 1.0), 0.0, 1.0)
+            # np.clip's order, max then min, as the vector env computes it.
+            violation = min(
+                max(0.6 * (lat_for_slo / spec.slo_latency_us - 1.0), 0.0), 1.0
             )
-            mean_io_bytes = spec.workload.mean_io_pages * self.ssd_config.page_size
-            iops = achieved[i] * 1024.0 * 1024.0 / max(mean_io_bytes, 1.0)
+            iops = achieved[i] * 1024.0 * 1024.0 / self._mean_io_bytes[i]
             stats.append(
                 WindowStats(
                     vssd_id=i,
                     window_start_s=t0,
                     window_end_s=t1,
-                    avg_bw_mbps=float(achieved[i]),
-                    avg_iops=float(iops),
-                    avg_latency_us=float(avg_lat),
+                    avg_bw_mbps=achieved[i],
+                    avg_iops=iops,
+                    avg_latency_us=avg_lat,
                     slo_violation_frac=violation,
-                    queue_delay_us=float(queue_delay),
+                    queue_delay_us=queue_delay,
                     rw_ratio=spec.workload.read_ratio,
-                    avail_capacity_frac=float(
-                        np.clip(0.5 - 0.05 * self.offered[i], 0.05, 1.0)
-                    ),
+                    avail_capacity_frac=min(max(0.5 - 0.05 * offered[i], 0.05), 1.0),
                     in_gc=in_gc,
                     cur_priority=int(self.priority[i]),
                     completed=int(iops * window_s),

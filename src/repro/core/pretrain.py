@@ -11,7 +11,8 @@ cloned per vSSD at deployment.
 Rollouts can be collected two ways:
 
 * ``envs=1`` — the reference scalar path: one environment at a time, one
-  ``policy.act`` per agent per window.
+  ``forward_batch`` per window over its agents, each agent then sampling
+  in turn from the run's one RNG.
 * ``envs=K`` — the vectorized engine: K collocations step in lockstep
   inside a :class:`~repro.core.vector_env.VectorFastFleetEnv`, and all
   live agents' states across the fleet go through a single
@@ -151,7 +152,15 @@ def _collect_scalar(
     interference_coef: float,
     alpha_override: Optional[float],
 ) -> Tuple[List[RolloutBuffer], List[float]]:
-    """Reference rollout collection: one scalar env at a time."""
+    """Reference rollout collection: one scalar env at a time.
+
+    Per window, one ``forward_batch`` over the env's agents; then, in
+    agent order, each agent samples from its logits row with the shared
+    ``rng`` (``act_from_logits``).  Forwards draw no randomness, so the
+    RNG sequence — and every trained parameter — is what one
+    ``policy.act`` per agent produces.
+    """
+    net = policy.net
     buffers: List[RolloutBuffer] = []
     episode_rewards: List[float] = []
     collected = 0
@@ -174,10 +183,13 @@ def _collect_scalar(
         }
         done = False
         while not done:
+            logits, values = net.forward_batch(np.stack(list(states.values())))
             actions: Dict[int, int] = {}
             meta: Dict[int, Tuple[np.ndarray, int, float, float]] = {}
-            for i, state in states.items():
-                action, logp, value = policy.act(state, rng)
+            for m, (i, state) in enumerate(states.items()):
+                action, logp, value = policy.act_from_logits(
+                    logits[m], values[m], rng
+                )
                 actions[i] = action
                 meta[i] = (state, action, logp, value)
             states, rewards, done, _info = env.step(actions)
@@ -185,6 +197,7 @@ def _collect_scalar(
                 traj[i].add(state, action, logp, rewards[i], value)
             episode_rewards.append(float(np.mean(list(rewards.values()))))
             collected += len(actions)
+            PROFILER.count("rl.batched_decisions", len(actions))
             PROFILER.count("pretrain.windows")
             PROFILER.count("pretrain.transitions", len(actions))
         for buf in traj.values():
@@ -319,7 +332,9 @@ def pretrain(
     PPO agents rarely cross.
 
     ``envs`` selects the collection engine: 1 is the reference scalar
-    path; K > 1 steps K collocations in lockstep with batched inference
+    path (one batched forward per window over one env's agents, which
+    sample in turn from the run's one RNG); K > 1 steps K collocations
+    in lockstep, batching inference across the whole fleet
     (same training quality, substantially higher throughput — see
     ``benchmarks/test_pretrain_perf.py``).  The two engines draw
     different exploration streams, so their trained policies are
@@ -515,7 +530,8 @@ def _evaluate_greedy(
         states = env.reset()
         done = False
         while not done:
-            actions = {i: policy.act_deterministic(s) for i, s in states.items()}
+            logits, _values = policy.net.forward_batch(np.stack(list(states.values())))
+            actions = {i: int(np.argmax(logits[m])) for m, i in enumerate(states)}
             states, rewards, done, _info = env.step(actions)
             totals.append(float(np.mean(list(rewards.values()))))
     return float(np.mean(totals))

@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.profiling import PROFILER
+
 #: ``(n, d, k)`` -> whether this BLAS computes an (n, d) @ (d, k) product
 #: whose rows are bit-identical to n separate (1, d) @ (d, k) products.
 #: GEMM implementations pick kernels and blocking by matrix shape, so the
@@ -27,7 +29,7 @@ def _gemm_rows_stable(n: int, d: int, k: int) -> bool:
     Runs a few fixed-seed trials comparing the full (n, d) @ (d, k)
     product against each row computed as a (1, d) @ (d, k) product.  Any
     bit mismatch marks the shape unstable, steering
-    :meth:`PolicyValueNet.forward_batch` to its row-looped fallback.
+    :meth:`PolicyValueNet.forward_batch` to its stacked-matmul path.
     """
     key = (n, d, k)
     hit = _ROW_STABLE_CACHE.get(key)
@@ -118,45 +120,37 @@ class PolicyValueNet:
         and an (n, d) product does not in general reproduce its (1, d)
         rows bit-for-bit.  A one-time probe per shape decides: on
         row-stable shapes the whole batch goes through one forward();
-        otherwise each row runs the exact (1, d) GEMM sequence a
-        per-agent call would, so batching never perturbs a decision.
+        otherwise the rows run as one *stacked* matmul, ``(n, 1, d) @
+        (d, k)``, whose core loop issues for each slice the same
+        (1, d) @ (d, k) product a per-agent forward() runs.  Either way
+        batching never perturbs a decision; the stacked path counts its
+        rows under ``rl.stacked_rows``.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         n = x.shape[0]
-        if n > 1:
-            sizes = [self.input_dim, *self.hidden_sizes]
-            stable = all(
+        if n > 1 and not self._rows_stable(n):
+            params = self.params
+            h = x.reshape(n, 1, self.input_dim)
+            for i in range(self.num_hidden):
+                h = np.tanh(h @ params[f"W{i}"] + params[f"b{i}"])
+            logits = (h @ params["Wp"] + params["bp"]).reshape(n, self.num_actions)
+            values = (h @ params["Wv"] + params["bv"]).reshape(n)
+            PROFILER.count("rl.stacked_rows", n)
+            return logits, values
+        logits, values, _ = self.forward(x)
+        return logits, values
+
+    def _rows_stable(self, n: int) -> bool:
+        """Whether every layer's (n, d) GEMM is row-stable on this host."""
+        sizes = [self.input_dim, *self.hidden_sizes]
+        return (
+            all(
                 _gemm_rows_stable(n, sizes[i], sizes[i + 1])
                 for i in range(self.num_hidden)
             )
-            stable = (
-                stable
-                and _gemm_rows_stable(n, sizes[-1], self.num_actions)
-                and _gemm_rows_stable(n, sizes[-1], 1)
-            )
-            if not stable:
-                # Inlined per-row forward: the exact (1, d) GEMM/tanh
-                # sequence forward() runs, minus its activation-cache and
-                # input-normalization bookkeeping (x is already a float64
-                # matrix here), so the fallback costs the math alone.
-                params = self.params
-                weights = [
-                    (params[f"W{i}"], params[f"b{i}"])
-                    for i in range(self.num_hidden)
-                ]
-                Wp, bp = params["Wp"], params["bp"]
-                Wv, bv = params["Wv"], params["bv"]
-                logits = np.empty((n, self.num_actions), dtype=np.float64)
-                values = np.empty(n, dtype=np.float64)
-                for i in range(n):
-                    h = x[i : i + 1]
-                    for W, b in weights:
-                        h = np.tanh(h @ W + b)
-                    logits[i] = (h @ Wp + bp)[0]
-                    values[i] = (h @ Wv + bv)[0, 0]
-                return logits, values
-        logits, values, _ = self.forward(x)
-        return logits, values
+            and _gemm_rows_stable(n, sizes[-1], self.num_actions)
+            and _gemm_rows_stable(n, sizes[-1], 1)
+        )
 
     def mark_params_updated(self) -> None:
         """Mint a fresh ``params_version`` after any in-place mutation."""

@@ -18,6 +18,49 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _kahan_sum(values: list) -> float:
+    """The compensated sum ``Generator.choice`` checks ``p`` against."""
+    total = values[0]
+    carry = 0.0
+    for value in values[1:]:
+        y = value - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw index ``i`` with probability ``probs[i]``.
+
+    Bit-identical to ``int(rng.choice(len(probs), p=probs))``: the same
+    draw (one ``rng.random()`` searched in the normalized cumulative
+    sum) and the same ``ValueError`` wherever ``choice`` raises one (NaN,
+    a negative entry, or a sum off 1 by more than sqrt(eps)), minus
+    ``choice``'s per-call argument handling.  ``choice`` checks a Kahan
+    sum; the plain running sum ``cumsum`` already holds differs from it
+    by far less than half the tolerance for any realistic ``len(probs)``,
+    so the Kahan sum runs only when the running sum is near the bound
+    (or NaN).
+    """
+    cdf = probs.cumsum()
+    total = float(cdf[-1])
+    if not abs(total - 1.0) <= 0.5 * _SUM_ATOL:
+        total = _kahan_sum(probs.tolist())
+        if total != total:
+            raise ValueError("probabilities contain NaN")
+    if probs.min() < 0.0:
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class CategoricalPolicy:
     """Samples discrete actions and reports log-probabilities/values."""
 
@@ -36,7 +79,7 @@ class CategoricalPolicy:
         """
         logits, values, _ = self.net.forward(state)
         probs = softmax(logits)[0]
-        action = int(rng.choice(self.num_actions, p=probs))
+        action = sample_categorical(probs, rng)
         logp = float(np.log(max(probs[action], 1e-12)))
         return action, logp, float(values[0])
 
@@ -51,7 +94,7 @@ class CategoricalPolicy:
         unbatched call would.
         """
         probs = softmax(logits_row)
-        action = int(rng.choice(self.num_actions, p=probs))
+        action = sample_categorical(probs, rng)
         logp = float(np.log(max(probs[action], 1e-12)))
         return action, logp, float(value)
 

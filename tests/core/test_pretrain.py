@@ -1,11 +1,18 @@
 """Tests for offline pre-training (kept tiny: 2-3 iterations)."""
 
+import hashlib
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
 
 from repro.config import RLConfig
+from repro.core.actionspace import ActionSpace
+from repro.core.fast_env import FastFleetEnv, FastVssdSpec
 from repro.core.pretrain import (
+    _EVAL_SCENARIOS,
     PretrainResult,
+    _collect_scalar,
     _evaluate_greedy,
     _merge_buffers,
     _sample_collocation,
@@ -14,9 +21,15 @@ from repro.core.pretrain import (
     pretrain,
     pretrain_best,
 )
-from repro.config import SSDConfig
-from repro.rl import RolloutBuffer
+from repro.config import CLUSTER_ALPHAS, SSDConfig
+from repro.profiling import PROFILER
+from repro.rl import PolicyValueNet, RolloutBuffer
 from repro.rl.policy import CategoricalPolicy
+from repro.workloads.catalog import CLUSTER_GROUND_TRUTH, get_spec
+
+#: sha256 of ``pretrain(iterations=2, seed=0)``'s flat parameters: the
+#: scalar engine's output bits, pinned like the canonical cell digest.
+PRETRAIN_ITER2_SEED0_SHA256 = "df643d04df73d9dc933df07b86f307ea675972ef33c5f48e19de7ea61d4de790"
 
 
 def test_pretrain_returns_trained_net():
@@ -182,3 +195,127 @@ def test_pretrain_best_parallel_matches_serial():
         serial.net.get_flat_params() == parallel.net.get_flat_params()
     ).all()
     assert serial.best_reward == parallel.best_reward
+
+
+# ----------------------------------------------------------------------
+# Scalar engine: batched inference must not change a bit
+# ----------------------------------------------------------------------
+
+def _per_agent_collect(policy, rng, rl_config, ssd_config, episode_windows,
+                       rollout_batch, interference_coef, alpha_override):
+    """The scalar collection loop before batching: one ``policy.act`` per
+    agent per window on the shared rng."""
+    buffers: List[RolloutBuffer] = []
+    episode_rewards: List[float] = []
+    collected = 0
+    while collected < rollout_batch:
+        specs = apply_reward_ablation(
+            _sample_collocation(rng, ssd_config), alpha_override
+        )
+        env = FastFleetEnv(
+            specs, rl_config, ssd_config, rng,
+            episode_windows=episode_windows,
+            interference_coef=interference_coef,
+        )
+        states = env.reset()
+        traj: Dict[int, RolloutBuffer] = {
+            i: RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
+            for i in states
+        }
+        done = False
+        while not done:
+            actions: Dict[int, int] = {}
+            meta: Dict[int, Tuple[np.ndarray, int, float, float]] = {}
+            for i, state in states.items():
+                action, logp, value = policy.act(state, rng)
+                actions[i] = action
+                meta[i] = (state, action, logp, value)
+            states, rewards, done, _info = env.step(actions)
+            for i, (state, action, logp, value) in meta.items():
+                traj[i].add(state, action, logp, rewards[i], value)
+            episode_rewards.append(float(np.mean(list(rewards.values()))))
+            collected += len(actions)
+        for buf in traj.values():
+            buf.finish_path(0.0)
+            buffers.append(buf)
+    return buffers, episode_rewards
+
+
+def _per_agent_evaluate_greedy(policy, rl_config, ssd_config):
+    """The greedy evaluation before batching: one ``act_deterministic``
+    per agent per window."""
+    totals = []
+    for index, names in enumerate(_EVAL_SCENARIOS):
+        channels = ssd_config.num_channels // len(names)
+        specs = [
+            FastVssdSpec(
+                workload=get_spec(name),
+                channels=channels,
+                alpha=CLUSTER_ALPHAS[CLUSTER_GROUND_TRUTH.get(name, "LC-1")],
+            )
+            for name in names
+        ]
+        env = FastFleetEnv(specs, rl_config, ssd_config,
+                           np.random.default_rng(1000 + index), episode_windows=30)
+        states = env.reset()
+        done = False
+        while not done:
+            actions = {i: policy.act_deterministic(s) for i, s in states.items()}
+            states, rewards, done, _info = env.step(actions)
+            totals.append(float(np.mean(list(rewards.values()))))
+    return float(np.mean(totals))
+
+
+def _random_policy(seed: int, sharpness: float = 1.0) -> CategoricalPolicy:
+    rl, ssd = RLConfig(), SSDConfig()
+    space = ActionSpace(ssd.channel_write_bandwidth_mbps)
+    net = PolicyValueNet(rl.state_dim, space.num_actions, rl.hidden_layer_sizes,
+                         rng=np.random.default_rng(seed))
+    # The orthogonal init's 0.01 policy gain is near-uniform; sharpen it so
+    # sampling and argmax see peaked distributions too.
+    net.params["Wp"] = net.params["Wp"] * sharpness
+    return CategoricalPolicy(net)
+
+
+def _buffer_bits(buffers: List[RolloutBuffer]) -> list:
+    return [
+        (buf.states.tobytes(), buf.actions.tobytes(), buf.log_probs.tobytes(),
+         buf.rewards.tobytes(), buf.values.tobytes(),
+         np.asarray(buf.advantages).tobytes(), np.asarray(buf.returns).tobytes())
+        for buf in buffers
+    ]
+
+
+@pytest.mark.parametrize("sharpness,alpha_override", [(1.0, None), (300.0, 0.05)])
+def test_collect_scalar_matches_per_agent_act(sharpness, alpha_override):
+    """Batched collection = per-agent ``policy.act``: byte-equal buffers
+    and rewards, and the shared rng ends in the same state."""
+    rl, ssd = RLConfig(), SSDConfig()
+    policy = _random_policy(4, sharpness)
+    rng_fast, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    with PROFILER.enabled_scope():
+        before = PROFILER.counters().get("rl.batched_decisions", 0)
+        fast = _collect_scalar(policy, rng_fast, rl, ssd, 6, 160, 7.0, alpha_override)
+        batched = PROFILER.counters().get("rl.batched_decisions", 0) - before
+    ref = _per_agent_collect(policy, rng_ref, rl, ssd, 6, 160, 7.0, alpha_override)
+    assert batched == sum(len(buf) for buf in fast[0])
+    assert len(fast[0]) == len(ref[0])
+    assert _buffer_bits(fast[0]) == _buffer_bits(ref[0])
+    assert np.asarray(fast[1]).tobytes() == np.asarray(ref[1]).tobytes()
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("sharpness", [1.0, 300.0])
+def test_evaluate_greedy_matches_per_agent_argmax(sharpness):
+    rl, ssd = RLConfig(), SSDConfig()
+    policy = _random_policy(5, sharpness)
+    fast = _evaluate_greedy(policy, rl, ssd)
+    ref = _per_agent_evaluate_greedy(policy, rl, ssd)
+    assert np.float64(fast).tobytes() == np.float64(ref).tobytes()
+
+
+def test_pretrain_output_bits_pinned():
+    """The scalar engine's trained parameters, to the bit."""
+    result = pretrain(iterations=2, seed=0)
+    digest = hashlib.sha256(result.net.get_flat_params().tobytes()).hexdigest()
+    assert digest == PRETRAIN_ITER2_SEED0_SHA256

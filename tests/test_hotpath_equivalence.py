@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.profiling import PROFILER
+from repro.rl import nets
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.nets import PolicyValueNet
 from repro.rl.policy import CategoricalPolicy
@@ -43,6 +45,49 @@ def test_forward_batch_matches_per_row_forward(net, n):
         row_logits, row_values, _ = net.forward(x[i : i + 1])
         assert _bits(batch_logits[i]) == _bits(row_logits[0])
         assert _bits(batch_values[i]) == _bits(row_values[0])
+
+
+def _force_row_stability(monkeypatch, net, n, stable):
+    """Seed the GEMM probe's cache so forward_batch takes a chosen path."""
+    sizes = [net.input_dim, *net.hidden_sizes]
+    shapes = [(sizes[i], sizes[i + 1]) for i in range(net.num_hidden)]
+    shapes += [(sizes[-1], net.num_actions), (sizes[-1], 1)]
+    for d, k in shapes:
+        monkeypatch.setitem(nets._ROW_STABLE_CACHE, (n, d, k), stable)
+
+
+def _stacked_rows() -> int:
+    return PROFILER.counters().get("rl.stacked_rows", 0)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_forward_batch_stacked_path_counted_and_bit_exact(net, monkeypatch, n):
+    """A row-unstable probe result sends the batch through the stacked
+    matmul: it says so in ``rl.stacked_rows`` and matches forward()."""
+    _force_row_stability(monkeypatch, net, n, False)
+    x = np.random.default_rng(100 + n).standard_normal((n, net.input_dim))
+    with PROFILER.enabled_scope():
+        before = _stacked_rows()
+        logits, values = net.forward_batch(x)
+        assert _stacked_rows() - before == n
+    for i in range(n):
+        row_logits, row_values, _ = net.forward(x[i : i + 1])
+        assert _bits(logits[i]) == _bits(row_logits[0])
+        assert _bits(values[i]) == _bits(row_values[0])
+
+
+def test_forward_batch_row_stable_path_is_one_forward(net, monkeypatch):
+    """A row-stable probe result runs the batch as one plain forward()."""
+    n = 4
+    _force_row_stability(monkeypatch, net, n, True)
+    x = np.random.default_rng(4).standard_normal((n, net.input_dim))
+    with PROFILER.enabled_scope():
+        before = _stacked_rows()
+        logits, values = net.forward_batch(x)
+        assert _stacked_rows() == before
+    full_logits, full_values, _ = net.forward(x)
+    assert _bits(logits) == _bits(full_logits)
+    assert _bits(values) == _bits(full_values)
 
 
 def test_act_from_batched_logits_matches_act(net):
